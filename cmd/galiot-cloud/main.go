@@ -34,7 +34,7 @@ func main() {
 		dsss           = flag.Bool("dsss", false, "also decode the O-QPSK DSSS technology")
 		quiet          = flag.Bool("quiet", false, "suppress per-segment logs")
 		workers        = flag.Int("workers", 4, "decode-farm worker count (0 decodes inline, one segment per session at a time; per shard when -shards > 1)")
-		queue          = flag.Int("queue", 64, "decode-farm admission queue depth; beyond it v2 gateways get busy rejects (per shard when -shards > 1)")
+		queue          = flag.Int("queue", 64, "decode-farm admission queue depth; beyond it gateways get busy rejects (per shard when -shards > 1)")
 		shards         = flag.Int("shards", 1, "decode-plane shard count; > 1 runs the sharded front tier (sessions routed by consistent hash of gateway and epoch)")
 		sessionTimeout = flag.Duration("session-timeout", 0, "reap sessions idle for this long (0 = never)")
 		dedupTTL       = flag.Duration("dedup-ttl", 0, "evict replay-dedup cache entries older than this (0 = count-bound only)")
@@ -54,7 +54,7 @@ func main() {
 	journal.SetClock(func() int64 { return time.Now().UnixNano() })
 	health := galiot.NewObsHealth()
 	// The trace store assembles this process's spans — stitched onto the
-	// wire-propagated trace IDs v3 gateways send — behind /trace/tree and
+	// wire-propagated trace IDs every segment carries — behind /trace/tree and
 	// /trace/slowest. Defaults keep every anomalous trace (replays, drops,
 	// slow outliers) plus a 1-in-16 head sample.
 	traces := galiot.NewObsTraceStore(galiot.ObsTraceStoreConfig{Obs: reg, Journal: journal})

@@ -1,6 +1,6 @@
 // Command galiot-trace renders assembled distributed traces: the span
 // trees the obs.TraceStore stitches together from gateway and cloud
-// processes via the wire-propagated trace context (backhaul v3).
+// processes via the trace context every backhaul segment carries.
 //
 // It reads traces either from a live observability endpoint (-addr, the
 // /trace/slowest and /trace/tree routes an ObsServer with a Traces store

@@ -8,6 +8,7 @@ func good(r *obs.Registry) {
 	_ = r.Gauge("farm_jobs_queued_count")
 	_ = r.Histogram("farm_queue_wait_samples", 1024)
 	_ = r.Counter("backhaul_bytes_sent_bytes")
+	_ = r.Counter("cloud_segments_invalid_total")
 }
 
 func bad(r *obs.Registry) {
@@ -16,6 +17,7 @@ func bad(r *obs.Registry) {
 	_ = r.Gauge("gateway_shipped_segments")   // want "metric name \\\"gateway_shipped_segments\\\" does not follow subsystem_name_unit"
 	_ = r.Histogram("farm__wait_samples", 64) // want "metric name \\\"farm__wait_samples\\\" does not follow subsystem_name_unit"
 	_ = r.Counter("1gateway_segments_total")  // want "metric name \\\"1gateway_segments_total\\\" does not follow subsystem_name_unit"
+	_ = r.Counter("cloud_segments_invalid")   // want "metric name \\\"cloud_segments_invalid\\\" does not follow subsystem_name_unit"
 }
 
 // Event names: subsystem_subject_verb, verb from the closed vocabulary.

@@ -16,13 +16,13 @@ type Gateway struct {
 
 // Process mutates fields without synchronization.
 func (g *Gateway) Process(n int) {
-	g.stats.Captures++  // want "unguardedstats: g.stats.Captures written without synchronization"
-	g.stats.Bytes += n  // want "unguardedstats: g.stats.Bytes written without synchronization"
-	g.last = n          // want "unguardedstats: g.last written without synchronization"
+	g.stats.Captures++ // want "unguardedstats: g.stats.Captures written without synchronization"
+	g.stats.Bytes += n // want "unguardedstats: g.stats.Bytes written without synchronization"
+	g.last = n         // want "unguardedstats: g.last written without synchronization"
 }
 
-// Run makes the package concurrent.
-func (g *Gateway) Run() {
+// Spawn makes the package concurrent.
+func (g *Gateway) Spawn() {
 	go g.Process(1)
 }
 

@@ -91,7 +91,7 @@ func FuzzSegmentCodec(f *testing.F) {
 			}
 		}
 
-		// Direction 3: the v2 sequenced framing. A seq prefix derived from
+		// Direction 3: the sequenced framing. A seq prefix derived from
 		// the inputs must survive the round trip, and the raw bytes must be
 		// safe to feed to the sequenced decoder too.
 		seq := rateBits ^ uint64(start)
@@ -100,10 +100,10 @@ func FuzzSegmentCodec(f *testing.F) {
 		copy(framed[8:], payload)
 		gotSeq, gotSeg, err := DecodeSegmentSeq(framed)
 		if err != nil {
-			t.Fatalf("decode of freshly framed v2 payload: %v", err)
+			t.Fatalf("decode of freshly framed payload: %v", err)
 		}
 		if gotSeq != seq || gotSeg.Start != start || len(gotSeg.Samples) != len(samples) {
-			t.Fatalf("v2 framing changed metadata: seq %d→%d, start %d→%d",
+			t.Fatalf("framing changed metadata: seq %d→%d, start %d→%d",
 				seq, gotSeq, start, gotSeg.Start)
 		}
 		if _, seg, err := DecodeSegmentSeq(data); err == nil {
@@ -114,34 +114,39 @@ func FuzzSegmentCodec(f *testing.F) {
 	})
 }
 
-// FuzzHelloNegotiation throws arbitrary bytes at the v2 handshake parsers:
-// hello and hello-ack payloads must be rejected or accepted without
-// panicking, an accepted hello must negotiate to a version both sides
-// speak, and a well-formed hello built from the fuzzed fields must survive
-// a marshal/parse/negotiate round trip.
-func FuzzHelloNegotiation(f *testing.F) {
-	f.Add([]byte(`{"version":1,"gateway_id":"gw","sample_rate":1e6}`), 1)
-	f.Add([]byte(`{"version":2,"techs":["lora","xbee"]}`), 2)
-	f.Add([]byte(`{"version":99}`), 99)
-	f.Add([]byte{0xFF, 0x00, 'x'}, -7)
+// FuzzHello throws arbitrary bytes at the handshake parsers — hello,
+// hello-ack and busy payloads must be rejected or accepted without
+// panicking — and checks the single accept rule: a hello built from the
+// fuzzed fields survives a marshal/parse round trip bit for bit, and Check
+// accepts it exactly when the version is Version, the epoch is nonzero and
+// the sample rate is finite and positive.
+func FuzzHello(f *testing.F) {
+	f.Add([]byte(`{"version":3,"gateway_id":"gw","sample_rate":1e6,"epoch":7}`), 3, uint64(7), math.Float64bits(1e6))
+	f.Add([]byte(`{"version":2,"techs":["lora","xbee"]}`), 2, uint64(1), math.Float64bits(1e6))
+	f.Add([]byte(`{"version":99}`), 3, uint64(0), math.Float64bits(250e3))
+	f.Add([]byte{0xFF, 0x00, 'x'}, 3, uint64(9), math.Float64bits(math.Inf(1)))
 
-	f.Fuzz(func(t *testing.T, raw []byte, version int) {
-		// Arbitrary bytes into both JSON parsers: errors expected, panics not.
+	f.Fuzz(func(t *testing.T, raw []byte, version int, epoch, rateBits uint64) {
+		// Arbitrary bytes into the parsers: errors expected, panics not.
 		if h, err := ParseHello(raw); err == nil {
-			if v, err := Negotiate(h.Version); err == nil && (v < MinVersion || v > Version) {
-				t.Fatalf("negotiated version %d outside [%d, %d]", v, MinVersion, Version)
-			}
+			_ = h.Check()
 		}
 		_, _ = ParseHelloAck(raw)
 		_, _ = ParseBusy(raw)
 
-		// Structured round trip: a hello with the fuzzed version must come
-		// back bit-identical through the wire framing.
+		rate := math.Float64frombits(rateBits)
+		if math.IsNaN(rate) || math.IsInf(rate, 0) {
+			// JSON cannot carry these, so check them directly.
+			if err := (Hello{Version: version, Epoch: epoch, SampleRate: rate}).Check(); err == nil {
+				t.Fatalf("hello with sample rate %v accepted", rate)
+			}
+			rate = 0
+		}
 		var buf bytes.Buffer
 		c := NewConn(&buf)
 		// Hex-encode the fuzzed bytes for the ID: JSON replaces invalid
 		// UTF-8, which would break the bit-identical comparison below.
-		sent := Hello{Version: version, GatewayID: fmt.Sprintf("%x", raw), SampleRate: 1e6}
+		sent := Hello{Version: version, GatewayID: fmt.Sprintf("%x", raw), SampleRate: rate, Epoch: epoch}
 		if err := c.SendHello(sent); err != nil {
 			t.Fatalf("send hello: %v", err)
 		}
@@ -153,15 +158,13 @@ func FuzzHelloNegotiation(f *testing.F) {
 		if err != nil {
 			t.Fatalf("parse hello: %v", err)
 		}
-		if got.Version != version || got.GatewayID != sent.GatewayID {
+		if got.Version != sent.Version || got.GatewayID != sent.GatewayID || got.Epoch != sent.Epoch ||
+			math.Float64bits(got.SampleRate) != math.Float64bits(sent.SampleRate) {
 			t.Fatalf("hello changed: %+v -> %+v", sent, got)
 		}
-		v, err := Negotiate(got.Version)
-		if (err == nil) != (version >= MinVersion && version <= Version) {
-			t.Fatalf("Negotiate(%d) acceptance wrong: %v", version, err)
-		}
-		if err == nil && v != version {
-			t.Fatalf("Negotiate(%d) = %d", version, v)
+		want := got.Version == Version && got.Epoch != 0 && got.SampleRate > 0
+		if err := got.Check(); (err == nil) != want {
+			t.Fatalf("Check(%+v) = %v, want accept=%v", got, err, want)
 		}
 	})
 }

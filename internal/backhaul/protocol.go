@@ -4,19 +4,16 @@
 // uplink the paper worries about), and decoded-frame reports flowing back.
 //
 // Framing: every message is [type:1][length:4 big-endian][payload]. Control
-// messages (hello, frames) are JSON; segment payloads are binary:
-// [startSample:8][sampleRate:8][scale:8][format:1][flags:1][trace:8? parent:8?][data...][crc32:4?].
+// messages (hello, hello ack, frames) are JSON; segment payloads are binary:
+// [startSample:8][sampleRate:8][scale:8][format:1][flags:1][trace:8][parent:8][data...][crc32:4?].
 // The flags byte is a bitmask: bit 0 marks DEFLATE-compressed data, bit 1
 // marks a trailing IEEE CRC-32 over everything before it, so corruption on
 // the wire is detected at decode time instead of silently producing garbage
 // I/Q (the resilience layer relies on this: a corrupted segment fails loudly,
 // the session dies, and the reconnecting gateway replays it — see DESIGN.md §11).
-// Bit 2 (protocol v3) marks a 16-byte trace-context extension between the
-// fixed header and the sample data: the trace ID minted when the segment
-// was detected and the span ID of the gateway span that shipped it, so the
-// cloud's spans stitch under the gateway's in one cross-process trace
-// (DESIGN.md §16). Gateways only set the bit on sessions that negotiated
-// v3; a segment without trace context encodes byte-identically to v2.
+// The trace context is the trace ID minted when the segment was detected
+// and the span ID of the gateway span that shipped it, so the cloud's spans
+// stitch under the gateway's in one cross-process trace (DESIGN.md §16).
 // The scale field records the per-segment gain applied before quantization
 // (digital AGC): samples are normalized so the peak rail sits just below
 // full scale, exactly as an SDR gain stage would, and the receiver undoes
@@ -40,44 +37,19 @@ import (
 // MsgType identifies a protocol message.
 type MsgType uint8
 
-// Protocol message types. Types 1-4 are the v1 wire protocol; 5-7 were
-// added by protocol v2 (sequence-numbered segments with admission-control
-// rejects and an explicit hello acknowledgement carrying the negotiated
-// version).
+// Protocol message types. Type 2 is retired; do not reuse it.
 const (
-	MsgHello      MsgType = 1 // JSON Hello
-	MsgSegment    MsgType = 2 // binary segment (v1, unsequenced)
-	MsgFrames     MsgType = 3 // JSON FramesReport
+	MsgHello      MsgType = 1 // JSON Hello, gateway -> cloud
+	MsgFrames     MsgType = 3 // JSON FramesReport, cloud -> gateway
 	MsgBye        MsgType = 4 // empty payload, orderly shutdown
-	MsgBusy       MsgType = 5 // v2: [seq:8], segment rejected by admission control
-	MsgSegmentSeq MsgType = 6 // v2: [seq:8] + v1 segment payload
-	MsgHelloAck   MsgType = 7 // v2: JSON HelloAck, cloud -> gateway
+	MsgBusy       MsgType = 5 // [seq:8], segment rejected by admission control
+	MsgSegmentSeq MsgType = 6 // [seq:8] + segment payload
+	MsgHelloAck   MsgType = 7 // JSON HelloAck, cloud -> gateway
 )
 
-// Version is the current (newest) protocol version. MinVersion is the
-// oldest version the cloud still serves: v1 gateways get the original
-// synchronous ship/reply exchange, v2 gateways get sequence-numbered
-// segments, pipelining and busy rejects, v3 sessions may additionally
-// carry per-segment trace context (the flagTrace extension). v3 changes
-// no framing — it only licenses the extension — so v1/v2 peers are
-// byte-compatibly unaffected.
-const (
-	Version    = 3
-	MinVersion = 1
-)
-
-// Negotiate maps a gateway's hello version to the version the session will
-// speak: the highest version both sides support. Versions below MinVersion
-// or above Version are rejected outright — a gateway from the future may
-// frame messages this cloud cannot parse, so optimistic downgrade is not
-// attempted.
-func Negotiate(helloVersion int) (int, error) {
-	if helloVersion < MinVersion || helloVersion > Version {
-		return 0, fmt.Errorf("backhaul: protocol version %d unsupported (serving %d..%d)",
-			helloVersion, MinVersion, Version)
-	}
-	return helloVersion, nil
-}
+// Version is the one protocol version spoken on the wire. A hello carrying
+// any other version is refused: there is no negotiation.
+const Version = 3
 
 // MaxMessageSize bounds a single message payload (64 MiB) to keep a
 // corrupted length prefix from exhausting memory.
@@ -93,15 +65,27 @@ type Hello struct {
 	// repeats the same nonzero epoch on every re-hello, letting the cloud
 	// recognize replayed segments from a connection flap (dedup by
 	// gateway+epoch+segment start) while a restarted gateway — new epoch —
-	// never collides with stale cache entries. Zero (the v1/v2 legacy value)
-	// disables dedup.
+	// never collides with stale cache entries.
 	Epoch uint64 `json:"epoch,omitempty"`
 }
 
-// HelloAck is the cloud's v2 reply to a hello: it confirms the session and
-// carries the negotiated protocol version plus advisory capacity hints the
-// gateway may use to size its shipping window. It is only sent to gateways
-// that offered version >= 2 (v1 gateways do not expect a reply to hello).
+// Check is the cloud's accept rule for a hello: the version must be
+// Version, the epoch nonzero and the sample rate finite and positive.
+func (h Hello) Check() error {
+	switch {
+	case h.Version != Version:
+		return fmt.Errorf("backhaul: protocol version %d unsupported (serving %d)", h.Version, Version)
+	case h.Epoch == 0:
+		return fmt.Errorf("backhaul: hello carries no epoch")
+	case !(h.SampleRate > 0) || math.IsInf(h.SampleRate, 1):
+		return fmt.Errorf("backhaul: invalid hello sample rate %v", h.SampleRate)
+	}
+	return nil
+}
+
+// HelloAck is the cloud's reply to an accepted hello: it confirms the
+// session and carries the protocol version plus advisory capacity hints
+// the gateway may use to size its shipping window.
 type HelloAck struct {
 	Version int `json:"version"`
 	// Window advises the gateway how many unacked segments the cloud is
@@ -136,8 +120,8 @@ type FrameReport struct {
 }
 
 // FramesReport carries the decode results for one segment. Seq echoes the
-// segment's sequence number on v2 sessions so a pipelining gateway can
-// match reports to in-flight segments; v1 reports leave it zero.
+// segment's sequence number so a pipelining gateway can match reports to
+// in-flight segments.
 type FramesReport struct {
 	SegmentStart int64         `json:"segment_start"`
 	Seq          uint64        `json:"seq,omitempty"`
@@ -150,9 +134,9 @@ type Segment struct {
 	SampleRate float64
 	Samples    []complex128
 	// Trace is the wire-propagated trace ID minted when the segment was
-	// detected; Parent is the span ID of the gateway span that shipped it.
-	// Both ride the flagTrace extension on v3 sessions and are zero
-	// otherwise — a zero Trace encodes byte-identically to protocol v2.
+	// detected; Parent is the span ID of the gateway span that shipped it
+	// (zero when the gateway records no spans). The cloud rejects a zero
+	// Trace.
 	Trace  uint64
 	Parent uint64
 }
@@ -293,11 +277,11 @@ func NewCodecMetrics(r *obs.Registry) *CodecMetrics {
 const (
 	flagFlate = 1 << 0
 	flagCRC   = 1 << 1
-	flagTrace = 1 << 2 // v3: 16-byte [trace:8][parent:8] extension follows the header
 )
 
-// traceExtSize is the flagTrace extension length.
-const traceExtSize = 16
+// segHeaderSize is the fixed segment header: start, rate, scale, format,
+// flags, trace, parent.
+const segHeaderSize = 42
 
 // DefaultCodec is what the paper's gateway effectively ships: 8-bit
 // quantized samples, compressed, with an integrity trailer.
@@ -354,25 +338,18 @@ func (sc SegmentCodec) Encode(seg Segment) ([]byte, error) {
 		flag |= flagCRC
 		trailer = 4
 	}
-	ext := 0
-	if seg.Trace != 0 {
-		flag |= flagTrace
-		ext = traceExtSize
-	}
-	out := make([]byte, 26+ext+len(raw)+trailer)
+	out := make([]byte, segHeaderSize+len(raw)+trailer)
 	binary.BigEndian.PutUint64(out[0:], uint64(seg.Start))
 	binary.BigEndian.PutUint64(out[8:], math.Float64bits(seg.SampleRate))
 	binary.BigEndian.PutUint64(out[16:], math.Float64bits(scale))
 	out[24] = byte(sc.Format)
 	out[25] = flag
-	if ext != 0 {
-		binary.BigEndian.PutUint64(out[26:], seg.Trace)
-		binary.BigEndian.PutUint64(out[34:], seg.Parent)
-	}
-	copy(out[26+ext:], raw)
+	binary.BigEndian.PutUint64(out[26:], seg.Trace)
+	binary.BigEndian.PutUint64(out[34:], seg.Parent)
+	copy(out[segHeaderSize:], raw)
 	if sc.Checksum {
-		sum := crc32.ChecksumIEEE(out[:26+ext+len(raw)])
-		binary.BigEndian.PutUint32(out[26+ext+len(raw):], sum)
+		sum := crc32.ChecksumIEEE(out[:segHeaderSize+len(raw)])
+		binary.BigEndian.PutUint32(out[segHeaderSize+len(raw):], sum)
 	}
 	if m := sc.Metrics; m != nil {
 		m.Segments.Inc()
@@ -384,15 +361,15 @@ func (sc SegmentCodec) Encode(seg Segment) ([]byte, error) {
 
 // Decode deserializes a segment payload.
 func DecodeSegment(payload []byte) (Segment, error) {
-	if len(payload) < 26 {
+	if len(payload) < segHeaderSize {
 		return Segment{}, fmt.Errorf("backhaul: segment payload too short")
 	}
 	flags := payload[25]
-	if flags&^(flagFlate|flagCRC|flagTrace) != 0 {
+	if flags&^(flagFlate|flagCRC) != 0 {
 		return Segment{}, fmt.Errorf("backhaul: unknown segment flags %#02x", flags)
 	}
 	if flags&flagCRC != 0 {
-		if len(payload) < 30 {
+		if len(payload) < segHeaderSize+4 {
 			return Segment{}, fmt.Errorf("backhaul: segment payload too short for checksum")
 		}
 		body := payload[:len(payload)-4]
@@ -409,18 +386,10 @@ func DecodeSegment(payload []byte) (Segment, error) {
 		return Segment{}, fmt.Errorf("backhaul: invalid segment scale %v", scale)
 	}
 	format := iq.Format(payload[24])
-	compressed := flags&flagFlate != 0
-	var trace, parent uint64
-	data := payload[26:]
-	if flags&flagTrace != 0 {
-		if len(data) < traceExtSize {
-			return Segment{}, fmt.Errorf("backhaul: segment payload too short for trace context")
-		}
-		trace = binary.BigEndian.Uint64(data[0:])
-		parent = binary.BigEndian.Uint64(data[8:])
-		data = data[traceExtSize:]
-	}
-	if compressed {
+	trace := binary.BigEndian.Uint64(payload[26:])
+	parent := binary.BigEndian.Uint64(payload[34:])
+	data := payload[segHeaderSize:]
+	if flags&flagFlate != 0 {
 		r := flate.NewReader(bytes.NewReader(data))
 		defer r.Close()
 		raw, err := io.ReadAll(io.LimitReader(r, MaxMessageSize))
@@ -440,19 +409,7 @@ func DecodeSegment(payload []byte) (Segment, error) {
 	return Segment{Start: start, SampleRate: rate, Samples: samples, Trace: trace, Parent: parent}, nil
 }
 
-// SendSegment encodes and writes a segment.
-func (c *Conn) SendSegment(sc SegmentCodec, seg Segment) (wireBytes int, err error) {
-	payload, err := sc.Encode(seg)
-	if err != nil {
-		return 0, err
-	}
-	if err := c.WriteMessage(MsgSegment, payload); err != nil {
-		return 0, err
-	}
-	return 5 + len(payload), nil
-}
-
-// SendSegmentSeq encodes and writes a v2 sequence-numbered segment.
+// SendSegmentSeq encodes and writes a sequence-numbered segment.
 func (c *Conn) SendSegmentSeq(sc SegmentCodec, seq uint64, seg Segment) (wireBytes int, err error) {
 	payload, err := sc.Encode(seg)
 	if err != nil {
@@ -467,8 +424,8 @@ func (c *Conn) SendSegmentSeq(sc SegmentCodec, seq uint64, seg Segment) (wireByt
 	return 5 + len(framed), nil
 }
 
-// DecodeSegmentSeq deserializes a v2 segment payload: an 8-byte sequence
-// number followed by the v1 segment encoding.
+// DecodeSegmentSeq deserializes a sequenced segment payload: an 8-byte
+// sequence number followed by the segment encoding.
 func DecodeSegmentSeq(payload []byte) (uint64, Segment, error) {
 	if len(payload) < 8 {
 		return 0, Segment{}, fmt.Errorf("backhaul: sequenced segment payload too short")
@@ -494,7 +451,7 @@ func ParseBusy(payload []byte) (uint64, error) {
 	return binary.BigEndian.Uint64(payload), nil
 }
 
-// SendHelloAck writes the cloud's v2 session acknowledgement.
+// SendHelloAck writes the cloud's session acknowledgement.
 func (c *Conn) SendHelloAck(a HelloAck) error {
 	data, err := json.Marshal(a)
 	if err != nil {
@@ -507,7 +464,7 @@ func (c *Conn) SendHelloAck(a HelloAck) error {
 func ParseHelloAck(payload []byte) (HelloAck, error) {
 	var a HelloAck
 	err := json.Unmarshal(payload, &a)
-	if err == nil && (a.Version < MinVersion || a.Version > Version) {
+	if err == nil && a.Version != Version {
 		return a, fmt.Errorf("backhaul: hello ack carries unsupported version %d", a.Version)
 	}
 	return a, err

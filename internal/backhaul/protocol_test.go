@@ -49,7 +49,7 @@ func TestMessageTruncatedStream(t *testing.T) {
 }
 
 func TestMessageOversizeRejected(t *testing.T) {
-	hdr := []byte{byte(MsgSegment), 0xFF, 0xFF, 0xFF, 0xFF}
+	hdr := []byte{byte(MsgSegmentSeq), 0xFF, 0xFF, 0xFF, 0xFF}
 	c := NewConn(bytes.NewBuffer(hdr))
 	if _, _, err := c.ReadMessage(); err == nil {
 		t.Fatal("oversize length should be rejected before allocation")
@@ -188,26 +188,6 @@ func TestSegmentPayloadProperty(t *testing.T) {
 	}
 }
 
-func TestNegotiate(t *testing.T) {
-	for _, tc := range []struct {
-		hello, want int
-		ok          bool
-	}{
-		{0, 0, false},
-		{1, 1, true},
-		{2, 2, true},
-		{3, 3, true},
-		{4, 0, false},
-		{99, 0, false},
-		{-1, 0, false},
-	} {
-		got, err := Negotiate(tc.hello)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Fatalf("Negotiate(%d) = %d, %v; want %d, ok=%v", tc.hello, got, err, tc.want, tc.ok)
-		}
-	}
-}
-
 func TestSegmentSeqRoundTrip(t *testing.T) {
 	gen := rng.New(3)
 	samples := make([]complex128, 2000)
@@ -255,7 +235,7 @@ func TestBusyRoundTrip(t *testing.T) {
 func TestHelloAckRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewConn(&buf)
-	if err := c.SendHelloAck(HelloAck{Version: 2, Window: 16, Workers: 4}); err != nil {
+	if err := c.SendHelloAck(HelloAck{Version: Version, Window: 16, Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := c.ReadMessage()
@@ -263,11 +243,13 @@ func TestHelloAckRoundTrip(t *testing.T) {
 		t.Fatalf("%v %v", typ, err)
 	}
 	ack, err := ParseHelloAck(payload)
-	if err != nil || ack.Version != 2 || ack.Window != 16 || ack.Workers != 4 {
+	if err != nil || ack.Version != Version || ack.Window != 16 || ack.Workers != 4 {
 		t.Fatalf("%+v %v", ack, err)
 	}
-	if _, err := ParseHelloAck([]byte(`{"version":77}`)); err == nil {
-		t.Fatal("out-of-range ack version accepted")
+	for _, raw := range []string{`{"version":77}`, `{"version":2}`} {
+		if _, err := ParseHelloAck([]byte(raw)); err == nil {
+			t.Fatalf("ack %s accepted", raw)
+		}
 	}
 }
 
@@ -299,11 +281,11 @@ func TestOverTCPLikePipe(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		c := NewConn(a)
-		if err := c.SendHello(Hello{Version: Version, GatewayID: "gw", SampleRate: 1e6}); err != nil {
+		if err := c.SendHello(Hello{Version: Version, GatewayID: "gw", SampleRate: 1e6, Epoch: 1}); err != nil {
 			done <- err
 			return
 		}
-		if _, err := c.SendSegment(DefaultCodec, Segment{Start: 42, SampleRate: 1e6, Samples: samples}); err != nil {
+		if _, err := c.SendSegmentSeq(DefaultCodec, 5, Segment{Start: 42, SampleRate: 1e6, Samples: samples, Trace: 9}); err != nil {
 			done <- err
 			return
 		}
@@ -315,12 +297,12 @@ func TestOverTCPLikePipe(t *testing.T) {
 		t.Fatalf("hello: %v %v", typ, err)
 	}
 	typ, payload, err := c.ReadMessage()
-	if err != nil || typ != MsgSegment {
+	if err != nil || typ != MsgSegmentSeq {
 		t.Fatalf("segment: %v %v", typ, err)
 	}
-	seg, err := DecodeSegment(payload)
-	if err != nil || seg.Start != 42 || len(seg.Samples) != 3000 {
-		t.Fatalf("segment decode: %v %+v", err, seg.Start)
+	seq, seg, err := DecodeSegmentSeq(payload)
+	if err != nil || seq != 5 || seg.Start != 42 || seg.Trace != 9 || len(seg.Samples) != 3000 {
+		t.Fatalf("segment decode: %v seq=%d start=%d trace=%d", err, seq, seg.Start, seg.Trace)
 	}
 	typ, _, err = c.ReadMessage()
 	if err != nil || typ != MsgBye {
@@ -387,8 +369,8 @@ func TestSegmentTraceContextRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if payload[25]&(1<<2) == 0 {
-			t.Fatalf("%v: trace flag bit not set", sc)
+		if payload[25]&^3 != 0 {
+			t.Fatalf("%v: flag bits %#x beyond flate and CRC", sc, payload[25])
 		}
 		got, err := DecodeSegment(payload)
 		if err != nil {
@@ -400,35 +382,6 @@ func TestSegmentTraceContextRoundTrip(t *testing.T) {
 		if got.Start != 555 || len(got.Samples) != 1500 {
 			t.Fatalf("%v: segment body damaged: %d/%d", sc, got.Start, len(got.Samples))
 		}
-	}
-}
-
-func TestSegmentNoTraceBytesIdenticalToV2(t *testing.T) {
-	// A zero Trace must not change the encoding at all: v1/v2 peers that
-	// reject unknown flag bits keep working, and WAL files written before
-	// v3 replay unchanged.
-	gen := rng.New(6)
-	samples := make([]complex128, 800)
-	for i := range samples {
-		samples[i] = complex(gen.NormFloat64()*0.2, gen.NormFloat64()*0.2)
-	}
-	plain, err := DefaultCodec.Encode(Segment{Start: 9, SampleRate: 1e6, Samples: samples})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain[25]&(1<<2) != 0 {
-		t.Fatal("trace flag set on a traceless segment")
-	}
-	traced, err := DefaultCodec.Encode(Segment{Start: 9, SampleRate: 1e6, Samples: samples, Trace: 77, Parent: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(traced) != len(plain)+16 {
-		t.Fatalf("trace extension should add exactly 16 bytes: %d vs %d", len(traced), len(plain))
-	}
-	got, err := DecodeSegment(plain)
-	if err != nil || got.Trace != 0 || got.Parent != 0 {
-		t.Fatalf("traceless decode: %v trace=%d parent=%d", err, got.Trace, got.Parent)
 	}
 }
 
@@ -446,9 +399,12 @@ func TestHelloEpochRoundTrip(t *testing.T) {
 	if err != nil || h.Epoch != 0xDEADBEEF {
 		t.Fatalf("epoch lost in transit: %v epoch=%d", err, h.Epoch)
 	}
-	// Legacy hellos without the field parse as epoch 0 (dedup disabled).
-	h2, err := ParseHello([]byte(`{"version":2,"gateway_id":"old"}`))
+	// A hello without the field parses as epoch 0, which Check refuses.
+	h2, err := ParseHello([]byte(`{"version":3,"gateway_id":"old","sample_rate":1e6}`))
 	if err != nil || h2.Epoch != 0 {
-		t.Fatalf("legacy hello: %v epoch=%d", err, h2.Epoch)
+		t.Fatalf("epoch-less hello: %v epoch=%d", err, h2.Epoch)
+	}
+	if err := h2.Check(); err == nil {
+		t.Fatal("epoch-less hello accepted")
 	}
 }

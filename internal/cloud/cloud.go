@@ -7,10 +7,9 @@
 // Decoding scales across gateways through the decode farm (internal/farm):
 // when a farm is attached with StartFarm, every session feeds the shared
 // bounded queue and a fixed worker pool drains it, so one slow collision
-// decode no longer stalls its whole gateway session. Sessions speaking
-// backhaul protocol v2 pipeline sequence-numbered segments and receive
-// explicit MsgBusy rejects under overload; v1 sessions are served unchanged
-// (the farm applies backpressure by blocking their reads instead).
+// decode no longer stalls its whole gateway session. Sessions pipeline
+// sequence-numbered segments and receive explicit MsgBusy rejects under
+// overload.
 package cloud
 
 import (
@@ -19,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"sync"
 	"time"
 
@@ -61,6 +61,7 @@ type cloudMetrics struct {
 	deduped    *obs.Counter            // cloud_segments_deduped_total
 	dedupEvict *obs.Counter            // cloud_dedup_evictions_total (age-based)
 	dedupSuper *obs.Counter            // cloud_dedup_superseded_total (epoch-superseded)
+	invalid    *obs.Counter            // cloud_segments_invalid_total
 	techFrames map[string]*obs.Counter // per-technology decoded frames
 }
 
@@ -77,6 +78,7 @@ func newCloudMetrics(reg *obs.Registry, techs []phy.Technology) cloudMetrics {
 		deduped:    reg.Counter("cloud_segments_deduped_total"),
 		dedupEvict: reg.Counter("cloud_dedup_evictions_total"),
 		dedupSuper: reg.Counter("cloud_dedup_superseded_total"),
+		invalid:    reg.Counter("cloud_segments_invalid_total"),
 		techFrames: make(map[string]*obs.Counter, len(techs)),
 	}
 	for _, t := range techs {
@@ -231,11 +233,11 @@ func (s *Service) Totals() (int, cancel.Stats, farm.Stats) {
 
 // session carries the per-connection state of one ServeConn call.
 type session struct {
-	svc     *Service
-	conn    *backhaul.Conn
-	version int
-	ctx     context.Context
-	dedup   *sessionDedup // nil when the hello carried no epoch
+	svc   *Service
+	conn  *backhaul.Conn
+	ctx   context.Context
+	rate  uint64 // math.Float64bits of the hello's sample rate
+	dedup sessionDedup
 
 	seqr farm.Sequencer
 	wmu  sync.Mutex // guards writeErr (writes themselves serialize in seqr)
@@ -280,12 +282,11 @@ func ReadHello(conn *backhaul.Conn) (backhaul.Hello, error) {
 	return hello, nil
 }
 
-// ServeConn handles one gateway session over a byte stream: hello (with
-// version negotiation), segments, bye. v1 gateways get one synchronous
-// frames report per segment; v2 gateways pipeline sequence-numbered
-// segments and get per-segment frames reports or busy rejects, always in
-// segment order. It returns when the gateway says bye or the stream
-// errors; on bye, every admitted segment has been answered first.
+// ServeConn handles one gateway session over a byte stream: hello,
+// sequence-numbered segments, bye. Each segment gets a frames report or a
+// busy reject, always in segment order. It returns when the gateway says
+// bye or the stream errors; on bye, every admitted segment has been
+// answered first.
 func (s *Service) ServeConn(rw io.ReadWriter) error {
 	conn := backhaul.NewConn(rw)
 	conn.SetMetrics(backhaul.NewConnMetrics(s.reg))
@@ -297,49 +298,49 @@ func (s *Service) ServeConn(rw io.ReadWriter) error {
 }
 
 // ServeHello serves a session whose hello has already been consumed from
-// conn (see ReadHello). hint seeds the v2 hello ack: a sharded front tier
+// conn (see ReadHello). hint seeds the hello ack: a sharded front tier
 // passes its aggregate-capacity fields (Shards, Capacity) and may pin
 // Window/Workers; zero hint fields are filled from this service's farm,
-// and Version always comes from negotiation. The caller keeps ownership
-// of conn's metrics wiring.
+// and Version is always backhaul.Version. The caller keeps ownership of
+// conn's metrics wiring.
 func (s *Service) ServeHello(conn *backhaul.Conn, hello backhaul.Hello, hint backhaul.HelloAck) error {
-	version, err := backhaul.Negotiate(hello.Version)
-	if err != nil {
+	if err := hello.Check(); err != nil {
 		return fmt.Errorf("cloud: %w", err)
 	}
 	f := s.Farm()
-	if version >= 2 {
-		ack := hint
-		ack.Version = version
-		if f != nil && (ack.Window == 0 || ack.Workers == 0) {
-			snap := f.Snapshot()
-			if ack.Window == 0 {
-				ack.Window = snap.QueueDepth
-			}
-			if ack.Workers == 0 {
-				ack.Workers = snap.Workers
-			}
+	ack := hint
+	ack.Version = backhaul.Version
+	if f != nil && (ack.Window == 0 || ack.Workers == 0) {
+		snap := f.Snapshot()
+		if ack.Window == 0 {
+			ack.Window = snap.QueueDepth
 		}
-		if err := conn.SendHelloAck(ack); err != nil {
-			return err
+		if ack.Workers == 0 {
+			ack.Workers = snap.Workers
 		}
 	}
+	if err := conn.SendHelloAck(ack); err != nil {
+		return err
+	}
 	if s.Logf != nil {
-		s.Logf("session from %s (v%d, fs=%.0f, techs=%v)", hello.GatewayID, version, hello.SampleRate, hello.Techs)
+		s.Logf("session from %s (fs=%.0f, techs=%v)", hello.GatewayID, hello.SampleRate, hello.Techs)
 	}
 	// The session context cancels when ServeConn returns: queued jobs of a
 	// dead session are skipped by the farm instead of decoded into the void.
 	ctx, cancelSession := context.WithCancel(context.Background())
 	defer cancelSession()
-	ss := &session{svc: s, conn: conn, version: version, ctx: ctx}
-	if hello.Epoch != 0 {
-		// An epoch-bearing gateway replays its unacked window after every
-		// reconnect; remembering decoded reports per (gateway, epoch,
-		// start) answers those replays without re-decoding. A fresh epoch
-		// supersedes the gateway's older ones: it announces a restart, so
-		// entries cached under dead epochs are unreachable and dropped.
-		s.m.dedupSuper.Add(s.dedup.supersede(hello.GatewayID, hello.Epoch))
-		ss.dedup = &sessionDedup{c: &s.dedup, gateway: hello.GatewayID, epoch: hello.Epoch}
+	// A gateway replays its unacked window after every reconnect;
+	// remembering decoded reports per (gateway, epoch, start) answers those
+	// replays without re-decoding. A fresh epoch supersedes the gateway's
+	// older ones: it announces a restart, so entries cached under dead
+	// epochs are unreachable and dropped.
+	s.m.dedupSuper.Add(s.dedup.supersede(hello.GatewayID, hello.Epoch))
+	ss := &session{
+		svc:   s,
+		conn:  conn,
+		ctx:   ctx,
+		rate:  math.Float64bits(hello.SampleRate),
+		dedup: sessionDedup{c: &s.dedup, gateway: hello.GatewayID, epoch: hello.Epoch},
 	}
 	for {
 		typ, payload, err := conn.ReadMessage()
@@ -350,23 +351,16 @@ func (s *Service) ServeHello(conn *backhaul.Conn, hello backhaul.Hello, hint bac
 			return err
 		}
 		switch typ {
-		case backhaul.MsgSegment:
-			seg, err := backhaul.DecodeSegment(payload)
-			if err != nil {
-				return fmt.Errorf("cloud: bad segment: %w", err)
-			}
-			if err := ss.handleSegment(f, 0, false, seg); err != nil {
-				return err
-			}
 		case backhaul.MsgSegmentSeq:
-			if version < 2 {
-				return fmt.Errorf("cloud: sequenced segment on a v%d session", version)
-			}
 			seq, seg, err := backhaul.DecodeSegmentSeq(payload)
 			if err != nil {
 				return fmt.Errorf("cloud: bad segment: %w", err)
 			}
-			if err := ss.handleSegment(f, seq, true, seg); err != nil {
+			if err := ss.check(seg); err != nil {
+				s.m.invalid.Inc()
+				return err
+			}
+			if err := ss.handleSegment(f, seq, seg); err != nil {
 				return err
 			}
 		case backhaul.MsgBye:
@@ -386,46 +380,49 @@ func (s *Service) ServeHello(conn *backhaul.Conn, hello backhaul.Hello, hint bac
 	}
 }
 
-// handleSegment routes one segment: inline decode when no farm is
-// attached, otherwise farm admission with per-version overload behavior
-// (v1 blocks for backpressure, v2 rejects with MsgBusy).
-func (ss *session) handleSegment(f *farm.Farm, seq uint64, sequenced bool, seg backhaul.Segment) error {
-	// The cloud-side span joins the trace the gateway minted: a v3 segment
-	// carries its trace ID and the shipping span's ID in the wire trace
-	// context, so this span stitches under the gateway's as a true child.
-	// Pre-v3 segments (no context) fall back to the implicit correlation by
-	// absolute start sample, exactly as before.
-	traceID, parent := seg.Trace, seg.Parent
-	if traceID == 0 {
-		traceID = obs.SegmentTraceID(seg.Start)
+// check rejects a CRC-valid segment the decoder must never see: one whose
+// sample rate differs from the hello's (bit for bit, so NaN never passes)
+// or that carries no trace ID.
+func (ss *session) check(seg backhaul.Segment) error {
+	if math.Float64bits(seg.SampleRate) != ss.rate {
+		return fmt.Errorf("cloud: segment @%d sample rate %v differs from the session's %v",
+			seg.Start, seg.SampleRate, math.Float64frombits(ss.rate))
 	}
-	sp := ss.svc.tracer.StartChild("cloud-segment", traceID, parent)
+	if seg.Trace == 0 {
+		return fmt.Errorf("cloud: segment @%d carries no trace ID", seg.Start)
+	}
+	return nil
+}
+
+// handleSegment routes one segment: inline decode when no farm is
+// attached, otherwise farm admission, answering MsgBusy under overload.
+func (ss *session) handleSegment(f *farm.Farm, seq uint64, seg backhaul.Segment) error {
+	// The cloud-side span joins the trace the gateway minted: the segment
+	// carries its trace ID and the shipping span's ID, so this span
+	// stitches under the gateway's as a true child.
+	sp := ss.svc.tracer.StartChild("cloud-segment", seg.Trace, seg.Parent)
 	ctx := obs.ContextWithSpan(ss.ctx, sp)
-	if ss.dedup != nil {
-		if rep, ok := ss.dedup.get(seg.Start); ok {
-			// Replay of an already-decoded segment (same gateway, same
-			// epoch): answer from cache so it is decoded exactly once.
-			ss.svc.m.deduped.Inc()
-			sp.Stage("dedup_hit", 0, float64(len(rep.Frames)))
-			if f == nil {
-				rep.Seq = seq
-				err := ss.conn.SendFrames(rep)
-				sp.End()
-				return err
-			}
-			slot := ss.seqr.Reserve()
-			ss.seqr.Deliver(slot, func() {
-				ss.reply(seq, sequenced, seg, farm.Result{Report: rep})
-				sp.End()
-			})
-			return nil
+	if rep, ok := ss.dedup.get(seg.Start); ok {
+		// Replay of an already-decoded segment (same gateway, same
+		// epoch): answer from cache so it is decoded exactly once.
+		ss.svc.m.deduped.Inc()
+		sp.Stage("dedup_hit", 0, float64(len(rep.Frames)))
+		if f == nil {
+			rep.Seq = seq
+			err := ss.conn.SendFrames(rep)
+			sp.End()
+			return err
 		}
+		slot := ss.seqr.Reserve()
+		ss.seqr.Deliver(slot, func() {
+			ss.reply(seq, farm.Result{Report: rep})
+			sp.End()
+		})
+		return nil
 	}
 	if f == nil {
 		report, _, _ := ss.svc.decodeSegment(ctx, seg)
-		if ss.dedup != nil {
-			ss.dedup.put(seg.Start, report)
-		}
+		ss.dedup.put(seg.Start, report)
 		report.Seq = seq
 		err := ss.conn.SendFrames(report)
 		sp.End()
@@ -433,21 +430,15 @@ func (ss *session) handleSegment(f *farm.Farm, seq uint64, sequenced bool, seg b
 	}
 	slot := ss.seqr.Reserve()
 	deliver := func(res farm.Result) {
-		if res.Err == nil && ss.dedup != nil {
+		if res.Err == nil {
 			ss.dedup.put(seg.Start, res.Report)
 		}
 		ss.seqr.Deliver(slot, func() {
-			ss.reply(seq, sequenced, seg, res)
+			ss.reply(seq, res)
 			sp.End()
 		})
 	}
-	var err error
-	if sequenced {
-		err = f.TrySubmit(ctx, seg, deliver)
-	} else {
-		err = f.Submit(ctx, seg, deliver)
-	}
-	switch err {
+	switch err := f.TrySubmit(ctx, seg, deliver); err {
 	case nil:
 		return nil
 	case farm.ErrBusy:
@@ -466,18 +457,13 @@ func (ss *session) handleSegment(f *farm.Farm, seq uint64, sequenced bool, seg b
 
 // reply writes one segment's answer. Runs inside the sequencer, so replies
 // leave in segment order and never interleave.
-func (ss *session) reply(seq uint64, sequenced bool, seg backhaul.Segment, res farm.Result) {
-	switch {
-	case res.Err != nil && sequenced:
+func (ss *session) reply(seq uint64, res farm.Result) {
+	if res.Err != nil {
 		ss.setWriteErr(ss.conn.SendBusy(seq))
-	case res.Err != nil:
-		// v1 has no busy vocabulary: an empty report keeps the
-		// segment/report exchange balanced.
-		ss.setWriteErr(ss.conn.SendFrames(backhaul.FramesReport{SegmentStart: seg.Start}))
-	default:
-		res.Report.Seq = seq
-		ss.setWriteErr(ss.conn.SendFrames(res.Report))
+		return
 	}
+	res.Report.Seq = seq
+	ss.setWriteErr(ss.conn.SendFrames(res.Report))
 }
 
 // StdLogf adapts the standard logger for Service.Logf.

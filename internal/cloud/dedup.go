@@ -37,7 +37,7 @@ type dedupEntry struct {
 }
 
 // dedupCache is a bounded FIFO map from decoded segments to their frames
-// reports. A reconnecting v2 gateway replays its unacknowledged window
+// reports. A reconnecting gateway replays its unacknowledged window
 // after every flap; serving those replays from cache keeps the decode farm
 // off the hook and guarantees each segment is decoded exactly once per
 // epoch.
@@ -204,7 +204,7 @@ func (c *dedupCache) len() int {
 }
 
 // sessionDedup is the cache scoped to one session's gateway identity and
-// epoch. Nil when the gateway's hello carried no epoch (dedup disabled).
+// epoch.
 type sessionDedup struct {
 	c       *dedupCache
 	gateway string

@@ -6,13 +6,14 @@ import (
 	"fmt"
 	"net"
 	"testing"
+	"time"
 
 	"repro/internal/backhaul"
 	"repro/internal/cancel"
 	"repro/internal/farm"
 )
 
-// sessionReply is one server answer on a v2 session: a frames report or a
+// sessionReply is one server answer on a session: a frames report or a
 // busy reject, tagged with its segment sequence number.
 type sessionReply struct {
 	seq    uint64
@@ -20,9 +21,9 @@ type sessionReply struct {
 	report backhaul.FramesReport
 }
 
-// readV2Replies drains one v2 session until the bye ack, collecting frames
+// readReplies drains one session until the bye ack, collecting frames
 // and busy replies in arrival order.
-func readV2Replies(conn *backhaul.Conn) ([]sessionReply, error) {
+func readReplies(conn *backhaul.Conn) ([]sessionReply, error) {
 	var replies []sessionReply
 	for {
 		typ, payload, err := conn.ReadMessage()
@@ -50,9 +51,9 @@ func readV2Replies(conn *backhaul.Conn) ([]sessionReply, error) {
 	}
 }
 
-// helloV2 performs the v2 handshake on conn and returns the cloud's ack.
-func helloV2(conn *backhaul.Conn, id string) (backhaul.HelloAck, error) {
-	if err := conn.SendHello(backhaul.Hello{Version: backhaul.Version, GatewayID: id, SampleRate: fs}); err != nil {
+// handshake opens a session on conn (epoch 1) and returns the cloud's ack.
+func handshake(conn *backhaul.Conn, id string) (backhaul.HelloAck, error) {
+	if err := conn.SendHello(backhaul.Hello{Version: backhaul.Version, GatewayID: id, SampleRate: fs, Epoch: 1}); err != nil {
 		return backhaul.HelloAck{}, err
 	}
 	typ, payload, err := conn.ReadMessage()
@@ -81,7 +82,7 @@ func TestFarmPipelinedSession(t *testing.T) {
 	}
 	defer nc.Close()
 	conn := backhaul.NewConn(nc)
-	ack, err := helloV2(conn, "v2")
+	ack, err := handshake(conn, "pipelined")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestFarmPipelinedSession(t *testing.T) {
 	var readErr error
 	go func() {
 		defer close(done)
-		replies, readErr = readV2Replies(conn)
+		replies, readErr = readReplies(conn)
 	}()
 	for i := 0; i < segments; i++ {
 		seg, payload := makeSegment(t, uint64(20+i))
@@ -149,29 +150,40 @@ func TestFarmBusyReject(t *testing.T) {
 	errCh := make(chan error, 1)
 	go func() { errCh <- svc.ServeConn(b) }()
 	conn := backhaul.NewConn(a)
-	if _, err := helloV2(conn, "busy"); err != nil {
+	if _, err := handshake(conn, "busy"); err != nil {
 		t.Fatal(err)
 	}
-	tiny := backhaul.Segment{Start: 0, SampleRate: fs, Samples: make([]complex128, 16)}
+	// Distinct starts, so no segment is answered from the replay cache.
+	tiny := func(seq uint64) backhaul.Segment {
+		return backhaul.Segment{Start: int64(seq), SampleRate: fs, Samples: make([]complex128, 16), Trace: 1}
+	}
 	// Segment 0 occupies the worker (wait for its dispatch so the queue is
 	// empty again), segment 1 the only queue slot; their replies are parked
 	// behind the gate, so nothing is written yet and the busy reject for
 	// segment 2 queues in the sequencer behind them.
-	if _, err := conn.SendSegmentSeq(backhaul.DefaultCodec, 0, tiny); err != nil {
+	if _, err := conn.SendSegmentSeq(backhaul.DefaultCodec, 0, tiny(0)); err != nil {
 		t.Fatal(err)
 	}
 	<-dispatched
-	if _, err := conn.SendSegmentSeq(backhaul.DefaultCodec, 1, tiny); err != nil {
-		t.Fatal(err)
+	for seq := uint64(1); seq <= 2; seq++ {
+		if _, err := conn.SendSegmentSeq(backhaul.DefaultCodec, seq, tiny(seq)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := conn.SendSegmentSeq(backhaul.DefaultCodec, 2, tiny); err != nil {
-		t.Fatal(err)
+	// The session reads segment 2 before admitting it; open the gate only
+	// once the reject has happened, or the worker could free the queue
+	// slot first.
+	for deadline := time.Now().Add(10 * time.Second); svc.Farm().Snapshot().Rejected == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("segment 2 was never rejected")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	close(gate)
 	if err := conn.SendBye(); err != nil {
 		t.Fatal(err)
 	}
-	replies, err := readV2Replies(conn)
+	replies, err := readReplies(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +233,7 @@ func TestFarmConcurrentGatewaysRace(t *testing.T) {
 				}
 				defer nc.Close()
 				conn := backhaul.NewConn(nc)
-				if _, err := helloV2(conn, fmt.Sprintf("gw%d", g)); err != nil {
+				if _, err := handshake(conn, fmt.Sprintf("gw%d", g)); err != nil {
 					return err
 				}
 				payloads := make([][]byte, segments)
@@ -230,7 +242,7 @@ func TestFarmConcurrentGatewaysRace(t *testing.T) {
 				var readErr error
 				go func() {
 					defer close(done)
-					replies, readErr = readV2Replies(conn)
+					replies, readErr = readReplies(conn)
 				}()
 				for i := 0; i < segments; i++ {
 					seg, payload := makeSegment(t, uint64(100+10*g+i))
@@ -298,12 +310,13 @@ func TestFarmDrainOnServerClose(t *testing.T) {
 	}
 	defer nc.Close()
 	conn := backhaul.NewConn(nc)
-	if _, err := helloV2(conn, "drain"); err != nil {
+	if _, err := handshake(conn, "drain"); err != nil {
 		t.Fatal(err)
 	}
 	const segments = 3
-	tiny := backhaul.Segment{Start: 0, SampleRate: fs, Samples: make([]complex128, 16)}
 	for i := 0; i < segments; i++ {
+		// Distinct starts, so no segment is answered from the replay cache.
+		tiny := backhaul.Segment{Start: int64(i), SampleRate: fs, Samples: make([]complex128, 16), Trace: 1}
 		if _, err := conn.SendSegmentSeq(backhaul.DefaultCodec, uint64(i), tiny); err != nil {
 			t.Fatal(err)
 		}
@@ -315,7 +328,7 @@ func TestFarmDrainOnServerClose(t *testing.T) {
 	if err := conn.SendBye(); err != nil {
 		t.Fatal(err)
 	}
-	replies, err := readV2Replies(conn)
+	replies, err := readReplies(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,69 +346,5 @@ func TestFarmDrainOnServerClose(t *testing.T) {
 	}
 	if _, _, fst := svc.Totals(); fst.Completed != segments {
 		t.Fatalf("farm stats %+v", fst)
-	}
-}
-
-func TestFarmServesOldHello(t *testing.T) {
-	// A v1 gateway against a farm-backed cloud: negotiation keeps the
-	// session at v1 (no hello ack), segments still decode through the farm,
-	// and the reply is a plain frames report.
-	svc := NewService(techs())
-	svc.StartFarm(farm.Config{Workers: 2, QueueDepth: 4})
-	defer svc.Close()
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	errCh := make(chan error, 1)
-	go func() { errCh <- svc.ServeConn(b) }()
-	conn := backhaul.NewConn(a)
-	if err := conn.SendHello(backhaul.Hello{Version: 1, GatewayID: "legacy", SampleRate: fs}); err != nil {
-		t.Fatal(err)
-	}
-	seg, payload := makeSegment(t, 30)
-	if _, err := conn.SendSegment(backhaul.DefaultCodec, seg); err != nil {
-		t.Fatal(err)
-	}
-	typ, data, err := conn.ReadMessage()
-	if err != nil || typ != backhaul.MsgFrames {
-		t.Fatalf("reply %v %v", typ, err)
-	}
-	report, err := backhaul.ParseFrames(data)
-	if err != nil || len(report.Frames) != 1 || !bytes.Equal(report.Frames[0].Payload, payload) {
-		t.Fatalf("report %+v err %v", report, err)
-	}
-	if err := conn.SendBye(); err != nil {
-		t.Fatal(err)
-	}
-	if typ, _, err := conn.ReadMessage(); err != nil || typ != backhaul.MsgBye {
-		t.Fatalf("bye ack %v %v", typ, err)
-	}
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
-	}
-	if n, _, fst := svc.Totals(); n != 1 || fst.Admitted != 1 {
-		t.Fatalf("totals n=%d farm=%+v", n, fst)
-	}
-}
-
-// TestSequencedSegmentOnV1Session checks the cloud refuses v2 framing on a
-// session negotiated down to v1.
-func TestSequencedSegmentOnV1Session(t *testing.T) {
-	svc := NewService(techs())
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	errCh := make(chan error, 1)
-	go func() { errCh <- svc.ServeConn(b) }()
-	conn := backhaul.NewConn(a)
-	if err := conn.SendHello(backhaul.Hello{Version: 1, GatewayID: "t", SampleRate: fs}); err != nil {
-		t.Fatal(err)
-	}
-	tiny := backhaul.Segment{Start: 0, SampleRate: fs, Samples: make([]complex128, 16)}
-	if _, err := conn.SendSegmentSeq(backhaul.DefaultCodec, 0, tiny); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-errCh; err == nil {
-		t.Fatal("sequenced segment accepted on a v1 session")
 	}
 }

@@ -35,7 +35,7 @@ func TestReplayedSegmentNotDoubleCounted(t *testing.T) {
 	for i := range samples {
 		samples[i] = gen.Complex()
 	}
-	seg := backhaul.Segment{Start: 8400, SampleRate: fs, Samples: samples}
+	seg := backhaul.Segment{Start: 8400, SampleRate: fs, Samples: samples, Trace: 1}
 
 	// Session 1: clean handshake, then the fault plan takes over the read
 	// side — the reply's first byte arrives and the connection dies. The
@@ -99,7 +99,7 @@ func TestReplayedSegmentNotDoubleCounted(t *testing.T) {
 	if err := conn2.SendBye(); err != nil {
 		t.Fatal(err)
 	}
-	if rest, err := readV2Replies(conn2); err != nil || len(rest) != 0 {
+	if rest, err := readReplies(conn2); err != nil || len(rest) != 0 {
 		t.Fatalf("after bye: %d extra replies, err %v", len(rest), err)
 	}
 	if err := <-done2; err != nil {

@@ -14,7 +14,7 @@ import (
 	"repro/internal/farm"
 )
 
-// helloEpoch performs the v2 handshake with an explicit epoch.
+// helloEpoch performs the handshake with an explicit epoch.
 func helloEpoch(t *testing.T, conn *backhaul.Conn, id string, epoch uint64) {
 	t.Helper()
 	err := conn.SendHello(backhaul.Hello{Version: backhaul.Version, GatewayID: id, SampleRate: fs, Epoch: epoch})
@@ -52,7 +52,7 @@ func TestDedupAnswersReplayFromCache(t *testing.T) {
 	conn := backhaul.NewConn(a)
 	helloEpoch(t, conn, "gw-dedup", 7)
 
-	seg := backhaul.Segment{Start: 4200, SampleRate: fs, Samples: make([]complex128, 64)}
+	seg := backhaul.Segment{Start: 4200, SampleRate: fs, Samples: make([]complex128, 64), Trace: 1}
 	// The same segment twice with fresh sequence numbers — exactly what a
 	// reconnect replay looks like from the cloud's side of one session.
 	// Reading each reply before the next send serializes the replay behind
@@ -80,7 +80,7 @@ func TestDedupAnswersReplayFromCache(t *testing.T) {
 	if err := conn.SendBye(); err != nil {
 		t.Fatal(err)
 	}
-	if rest, err := readV2Replies(conn); err != nil || len(rest) != 0 {
+	if rest, err := readReplies(conn); err != nil || len(rest) != 0 {
 		t.Fatalf("after bye: %d extra replies, err %v", len(rest), err)
 	}
 	if err := <-done; err != nil {
@@ -108,9 +108,11 @@ func TestDedupAnswersReplayFromCache(t *testing.T) {
 	}
 }
 
-// TestDedupDisabledWithoutEpoch: a legacy gateway (no epoch in hello) gets
-// no dedup — the cloud must decode every arrival.
-func TestDedupDisabledWithoutEpoch(t *testing.T) {
+// TestDedupNotSharedAcrossEpochs: a restarted gateway (same ID, fresh
+// epoch) re-sends a segment start its previous incarnation already had
+// decoded — the cloud must decode it again, not answer from the dead
+// epoch's cache, and count the superseded entry.
+func TestDedupNotSharedAcrossEpochs(t *testing.T) {
 	svc := NewService(techs())
 	var decodes atomic.Uint64
 	svc.StartFarm(farm.Config{Workers: 1, QueueDepth: 4, Decode: func(ctx context.Context, seg backhaul.Segment) (backhaul.FramesReport, cancel.Stats, error) {
@@ -119,36 +121,39 @@ func TestDedupDisabledWithoutEpoch(t *testing.T) {
 	}})
 	defer svc.Close()
 
-	a, b := net.Pipe()
-	done := make(chan error, 1)
-	go func() { done <- svc.ServeConn(b) }()
-	conn := backhaul.NewConn(a)
-	helloEpoch(t, conn, "gw-legacy", 0)
-	readErr := make(chan error, 1)
-	go func() {
-		_, err := readV2Replies(conn)
-		readErr <- err
-	}()
-	seg := backhaul.Segment{Start: 4200, SampleRate: fs, Samples: make([]complex128, 64)}
-	for seq := uint64(0); seq < 2; seq++ {
-		if _, err := conn.SendSegmentSeq(backhaul.DefaultCodec, seq, seg); err != nil {
+	seg := backhaul.Segment{Start: 4200, SampleRate: fs, Samples: make([]complex128, 64), Trace: 1}
+	for _, epoch := range []uint64{1, 2} {
+		a, b := net.Pipe()
+		done := make(chan error, 1)
+		go func() { done <- svc.ServeConn(b) }()
+		conn := backhaul.NewConn(a)
+		helloEpoch(t, conn, "gw-restarted", epoch)
+		readErr := make(chan error, 1)
+		go func() {
+			_, err := readReplies(conn)
+			readErr <- err
+		}()
+		if _, err := conn.SendSegmentSeq(backhaul.DefaultCodec, 0, seg); err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.SendBye(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-readErr; err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := conn.SendBye(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-readErr; err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
 	if n := decodes.Load(); n != 2 {
-		t.Fatalf("segment decoded %d times, want 2 without an epoch", n)
+		t.Fatalf("segment decoded %d times, want once per epoch", n)
 	}
 	if n := svc.Registry().Counter("cloud_segments_deduped_total").Value(); n != 0 {
 		t.Fatalf("deduped = %d, want 0", n)
+	}
+	if n := svc.Registry().Counter("cloud_dedup_superseded_total").Value(); n != 1 {
+		t.Fatalf("superseded = %d, want 1", n)
 	}
 }
 
@@ -247,7 +252,7 @@ func TestServeRetriesTransientAcceptErrors(t *testing.T) {
 	if err := conn.SendBye(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readV2Replies(conn); err != nil {
+	if _, err := readReplies(conn); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err != nil {

@@ -41,7 +41,7 @@ func TestServerSessionsActiveGauge(t *testing.T) {
 		}
 		defer nc.Close()
 		conn := backhaul.NewConn(nc)
-		if err := conn.SendHello(backhaul.Hello{Version: backhaul.Version, GatewayID: "gauge", Epoch: uint64(i), SampleRate: fs}); err != nil {
+		if err := conn.SendHello(backhaul.Hello{Version: backhaul.Version, GatewayID: "gauge", Epoch: uint64(i) + 1, SampleRate: fs}); err != nil {
 			t.Fatal(err)
 		}
 		// The hello ack proves the server registered the session.

@@ -26,7 +26,7 @@ type Config struct {
 	Workers int
 	// QueueDepth is each shard's admission-queue bound (default 64). The
 	// plane's aggregate capacity — Shards × QueueDepth — is advertised to
-	// v2 gateways in the hello ack.
+	// gateways in the hello ack.
 	QueueDepth int
 	// Techs is the technology set every shard decodes. Required.
 	Techs []phy.Technology

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"fmt"
 	"net"
 	"sort"
@@ -35,8 +34,8 @@ func capture(t *testing.T, tech phy.Technology, seed uint64, payload []byte) []c
 	return channel.Mix(len(sig)+100000, []channel.Emission{{Samples: sig, Offset: 30000, SNRdB: 15}}, gen, fs)
 }
 
-// runGateway drives one gateway.Run session against serve (the cloud side
-// of a net.Pipe) and returns the decoded payloads, sorted.
+// runGateway drives one gateway session against serve (the cloud side of
+// a net.Pipe) and returns the decoded payloads, sorted.
 func runGateway(t *testing.T, cfg gateway.Config, caps [][]complex128, serve func(rw net.Conn) error) []string {
 	t.Helper()
 	g, err := gateway.New(cfg)
@@ -44,7 +43,6 @@ func runGateway(t *testing.T, cfg gateway.Config, caps [][]complex128, serve fun
 		t.Fatal(err)
 	}
 	a, b := net.Pipe()
-	defer a.Close()
 	defer b.Close()
 	captures := make(chan []complex128, len(caps))
 	for _, c := range caps {
@@ -52,29 +50,26 @@ func runGateway(t *testing.T, cfg gateway.Config, caps [][]complex128, serve fun
 	}
 	close(captures)
 	var payloads []string
-	errCh := make(chan error, 2)
+	errCh := make(chan error, 1)
 	go func() { errCh <- serve(b) }()
-	go func() {
-		errCh <- g.Run(a, captures, func(r backhaul.FramesReport) {
-			for _, f := range r.Frames {
-				payloads = append(payloads, string(f.Payload))
-			}
-		})
-	}()
-	for i := 0; i < 2; i++ {
-		if err := <-errCh; err != nil {
-			t.Fatal(err)
+	if err := g.RunResilient(gateway.Resilient{Dial: gateway.DialOnce(a)}, captures, func(r backhaul.FramesReport) {
+		for _, f := range r.Frames {
+			payloads = append(payloads, string(f.Payload))
 		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errCh; err != nil {
+		t.Fatal(err)
 	}
 	sort.Strings(payloads)
 	return payloads
 }
 
-// TestFrontBackwardCompat is the satellite contract: a plain v2 gateway —
-// no knowledge of the capacity hint, default window — decodes exactly the
-// same payloads through a sharded front as against the seed single-shard
-// server, for the same captures.
-func TestFrontBackwardCompat(t *testing.T) {
+// TestFrontDecodesSameAsSingleService: a gateway with the default window
+// decodes exactly the same payloads through a sharded front as against a
+// single unsharded service, for the same captures.
+func TestFrontDecodesSameAsSingleService(t *testing.T) {
 	ts := testTechs()
 	payloads := []string{"compat frame a", "compat frame b", "compat frame c"}
 	caps := [][]complex128{
@@ -84,9 +79,9 @@ func TestFrontBackwardCompat(t *testing.T) {
 	}
 	cfg := gateway.Config{ID: "compat-gw", Techs: ts, Frontend: frontend.Ideal(fs)}
 
-	// Seed path: one cloud.Service, no farm, strict v2 session.
-	seedSvc := cloud.NewService(ts)
-	seed := runGateway(t, cfg, caps, func(rw net.Conn) error { return seedSvc.ServeConn(rw) })
+	// Single path: one cloud.Service, no farm.
+	singleSvc := cloud.NewService(ts)
+	single := runGateway(t, cfg, caps, func(rw net.Conn) error { return singleSvc.ServeConn(rw) })
 
 	// Sharded path: three shards behind the front.
 	front, err := New(Config{Shards: 3, Workers: 2, QueueDepth: 16, Techs: ts})
@@ -96,65 +91,15 @@ func TestFrontBackwardCompat(t *testing.T) {
 	defer front.Close()
 	sharded := runGateway(t, cfg, caps, func(rw net.Conn) error { return front.HandleConn(rw) })
 
-	if len(seed) != len(payloads) {
-		t.Fatalf("seed server decoded %v, want %v", seed, payloads)
+	if len(single) != len(payloads) {
+		t.Fatalf("single service decoded %v, want %v", single, payloads)
 	}
-	if fmt.Sprint(seed) != fmt.Sprint(sharded) {
-		t.Fatalf("sharded front decoded %v, seed server decoded %v", sharded, seed)
-	}
-}
-
-// TestFrontV1Gateway checks the legacy strict request/reply protocol is
-// untouched by sharding: a v1 session through the front gets no hello ack
-// and one frames reply per segment, same as the seed server.
-func TestFrontV1Gateway(t *testing.T) {
-	ts := testTechs()
-	front, err := New(Config{Shards: 2, Techs: ts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer front.Close()
-
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	errCh := make(chan error, 1)
-	go func() { errCh <- front.HandleConn(b) }()
-
-	conn := backhaul.NewConn(a)
-	if err := conn.SendHello(backhaul.Hello{Version: 1, GatewayID: "legacy", SampleRate: fs}); err != nil {
-		t.Fatal(err)
-	}
-	payload := []byte("v1 through the front")
-	sig, err := xbee.Default().Modulate(payload, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := rng.New(21)
-	samples := channel.Mix(len(sig)+20000, []channel.Emission{{Samples: sig, Offset: 8000, SNRdB: 15}}, gen, fs)
-	if _, err := conn.SendSegment(backhaul.DefaultCodec, backhaul.Segment{Start: 0, SampleRate: fs, Samples: samples}); err != nil {
-		t.Fatal(err)
-	}
-	typ, data, err := conn.ReadMessage()
-	if err != nil || typ != backhaul.MsgFrames {
-		t.Fatalf("reply %v %v", typ, err)
-	}
-	report, err := backhaul.ParseFrames(data)
-	if err != nil || len(report.Frames) != 1 || !bytes.Equal(report.Frames[0].Payload, payload) {
-		t.Fatalf("report %+v err %v", report, err)
-	}
-	if err := conn.SendBye(); err != nil {
-		t.Fatal(err)
-	}
-	if typ, _, err := conn.ReadMessage(); err != nil || typ != backhaul.MsgBye {
-		t.Fatalf("bye ack %v %v", typ, err)
-	}
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
+	if fmt.Sprint(single) != fmt.Sprint(sharded) {
+		t.Fatalf("sharded front decoded %v, single service decoded %v", sharded, single)
 	}
 }
 
-// TestFrontHelloAckCapacity checks the v2 negotiation additions: the ack
+// TestFrontHelloAckCapacity checks the hello ack's capacity hints: the ack
 // advertises the plane's shard count and aggregate capacity, while Window
 // stays the landing shard's own queue depth.
 func TestFrontHelloAckCapacity(t *testing.T) {

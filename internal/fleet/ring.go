@@ -11,7 +11,7 @@
 // reconnecting gateways mostly land back on the shard that already holds
 // their dedup state.
 //
-// The front advertises the plane's aggregate capacity in the v2 hello ack
+// The front advertises the plane's aggregate capacity in the hello ack
 // (HelloAck.Shards, HelloAck.Capacity) so auto-sizing gateways can scale
 // their shipping windows with the fleet (DESIGN.md §13).
 package fleet

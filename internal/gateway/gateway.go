@@ -10,7 +10,6 @@ package gateway
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"repro/internal/backhaul"
 	"repro/internal/cancel"
@@ -20,8 +19,8 @@ import (
 	"repro/internal/phy"
 )
 
-// DefaultWindow is how many shipped segments Run keeps in flight
-// unacknowledged on a v2 session before blocking.
+// DefaultWindow is how many shipped segments a session keeps in flight
+// unacknowledged before blocking.
 const DefaultWindow = 8
 
 // Config assembles a gateway.
@@ -32,12 +31,8 @@ type Config struct {
 	Detector   detect.Detector // nil: universal-preamble detector at threshold 0.08
 	EdgeDecode bool            // try single-technology decode locally first
 	Codec      backhaul.SegmentCodec
-	// Protocol pins the backhaul version Run offers in its hello
-	// (default: backhaul.Version). Set 1 to speak the legacy strict
-	// request/reply protocol.
-	Protocol int
-	// Window bounds the unacknowledged segments Run pipelines on a v2
-	// session (default DefaultWindow). The cloud's hello ack may shrink it.
+	// Window bounds the unacknowledged segments a session pipelines
+	// (default DefaultWindow). The cloud's hello ack may shrink it.
 	Window int
 	// Obs receives the gateway's metrics (gateway_*, detect_* and
 	// backhaul_* series). Nil creates a private registry; Stats reads from
@@ -212,9 +207,9 @@ type Result struct {
 	EdgeFrames []*phy.Frame       // frames fully resolved at the edge
 	Shipped    []backhaul.Segment // segments that need the cloud
 	// Spans holds the open trace span of each Shipped segment (parallel to
-	// Shipped; all nil when tracing is disabled). Run closes them as the
-	// segments go out; callers driving Process directly may End or drop
-	// them.
+	// Shipped; all nil when tracing is disabled). RunResilient closes them
+	// as the segments go out; callers driving Process directly may End or
+	// drop them.
 	Spans []*obs.Span
 }
 
@@ -242,21 +237,23 @@ func (g *Gateway) Flush() Result {
 }
 
 // handle routes completed segments through edge decode or shipping. Each
-// segment opens a trace span whose trace ID is minted here, at detect
-// time, from the gateway's ID hash, the session epoch salt and the
-// segment's absolute start sample (obs.MintTraceID) — deterministic
-// within a process lifetime, distinct across restarts. A WAL-recovered
-// segment keeps the identity it was journaled with. Spans of edge-resolved
-// segments end here; spans of shipped segments travel with Result, and
-// the segment carries the trace ID plus this span's ID as its wire trace
-// context. detectDur is the detection cost of the capture that completed
-// these segments (charged to every segment it produced — detection is a
-// per-capture pass, not per-segment).
+// segment's trace ID is minted here, at detect time, from the gateway's ID
+// hash, the session epoch salt and the segment's absolute start sample
+// (obs.MintTraceID) — deterministic within a process lifetime, distinct
+// across restarts, and present on the wire whether or not a tracer is
+// attached. A WAL-recovered segment keeps the identity it was journaled
+// with. Spans of edge-resolved segments end here; spans of shipped
+// segments travel with Result, and the segment carries the trace ID plus
+// this span's ID as its wire trace context. detectDur is the detection
+// cost of the capture that completed these segments (charged to every
+// segment it produced — detection is a per-capture pass, not
+// per-segment).
 func (g *Gateway) handle(segments []detect.StreamSegment, detectDur int64) Result {
 	fs := g.cfg.Frontend.SampleRate()
 	var res Result
 	for _, seg := range segments {
-		sp := g.tracer.Start("gateway-segment", obs.MintTraceID(g.idHash^g.traceSalt, seg.Start))
+		trace := obs.MintTraceID(g.idHash^g.traceSalt, seg.Start)
+		sp := g.tracer.Start("gateway-segment", trace)
 		sp.Stage("detect", detectDur, float64(len(seg.Samples)))
 		if g.cfg.EdgeDecode {
 			tEdge := sp.Now()
@@ -280,7 +277,7 @@ func (g *Gateway) handle(segments []detect.StreamSegment, detectDur int64) Resul
 			Start:      seg.Start,
 			SampleRate: fs,
 			Samples:    seg.Samples,
-			Trace:      sp.TraceID(),
+			Trace:      trace,
 			Parent:     sp.SpanID(),
 		})
 		res.Spans = append(res.Spans, sp)
@@ -331,149 +328,3 @@ func (g *Gateway) likelyCollision(samples []complex128, decoded *phy.Frame) bool
 // countBadReport records a cloud reply the gateway could not parse, so
 // malformed traffic shows up in Stats instead of being silently discarded.
 func (g *Gateway) countBadReport() { g.m.badReports.Inc() }
-
-// Run drives a session over a backhaul connection: hello (with version
-// negotiation), then the shipped segments of each capture delivered on
-// captures, then bye. On a v2 session shipping is pipelined: up to
-// Config.Window sequence-numbered segments stay in flight unacknowledged,
-// and each cloud reply — a frames report or an explicit busy reject —
-// frees a window slot. Decode reports arriving from the cloud are
-// delivered to the reports callback (may be nil).
-func (g *Gateway) Run(rw io.ReadWriter, captures <-chan []complex128, reports func(backhaul.FramesReport)) error {
-	conn := backhaul.NewConn(rw)
-	conn.SetMetrics(backhaul.NewConnMetrics(g.reg))
-	version := g.cfg.Protocol
-	if version == 0 {
-		version = backhaul.Version
-	}
-	techs := make([]string, 0, len(g.cfg.Techs))
-	for _, t := range g.cfg.Techs {
-		techs = append(techs, t.Name())
-	}
-	if err := conn.SendHello(backhaul.Hello{
-		Version:    version,
-		GatewayID:  g.cfg.ID,
-		SampleRate: g.cfg.Frontend.SampleRate(),
-		Techs:      techs,
-	}); err != nil {
-		return err
-	}
-	auto := g.cfg.Window <= 0
-	window := g.cfg.Window
-	if auto {
-		window = DefaultWindow
-	}
-	negotiated := version
-	if version >= 2 {
-		// The hello ack closes negotiation; the cloud may shrink the window
-		// to what its admission queue is willing to hold, and its version is
-		// the one the session actually speaks — a v2 cloud answering a v3
-		// hello pins the session to v2, which gates the trace extension off.
-		typ, payload, err := conn.ReadMessage()
-		if err != nil {
-			return err
-		}
-		if typ != backhaul.MsgHelloAck {
-			return fmt.Errorf("gateway: expected hello ack, got message type %d", typ)
-		}
-		ack, err := backhaul.ParseHelloAck(payload)
-		if err != nil {
-			return fmt.Errorf("gateway: bad hello ack: %w", err)
-		}
-		if ack.Version > 0 && ack.Version < negotiated {
-			negotiated = ack.Version
-		}
-		window = scaleWindow(auto, window, ack)
-	}
-	// Reader side: collect decode reports and busy rejects until the bye
-	// ack. On v2 sessions every reply returns one window token.
-	done := make(chan struct{})
-	tokens := make(chan struct{}, window)
-	release := func() {
-		select {
-		case <-tokens:
-		default: // spurious reply with nothing in flight
-		}
-	}
-	go func() {
-		defer close(done)
-		for {
-			typ, payload, err := conn.ReadMessage()
-			if err != nil {
-				return
-			}
-			switch typ {
-			case backhaul.MsgFrames:
-				if r, err := backhaul.ParseFrames(payload); err != nil {
-					g.countBadReport()
-				} else if reports != nil {
-					reports(r)
-				}
-				release()
-			case backhaul.MsgBusy:
-				if _, err := backhaul.ParseBusy(payload); err != nil {
-					g.countBadReport()
-				} else {
-					g.m.busyRejects.Inc()
-				}
-				release()
-			case backhaul.MsgBye:
-				return
-			default:
-				g.countBadReport()
-			}
-		}
-	}()
-	var seq uint64
-	ship := func(res Result) error {
-		for i, seg := range res.Shipped {
-			var sp *obs.Span
-			if i < len(res.Spans) {
-				sp = res.Spans[i]
-			}
-			if negotiated < 3 {
-				// Pre-v3 peers reject the trace flag bit; strip the context
-				// (seg is a loop copy, the queued segment keeps its identity).
-				seg.Trace, seg.Parent = 0, 0
-			}
-			var n int
-			var err error
-			if version >= 2 {
-				tWait := sp.Now()
-				select {
-				case tokens <- struct{}{}: // claim a window slot
-				case <-done:
-					return errors.New("gateway: connection closed while shipping")
-				}
-				sp.Stage("ship_wait", sp.Now()-tWait, float64(len(tokens)))
-				tShip := sp.Now()
-				n, err = conn.SendSegmentSeq(g.cfg.Codec, seq, seg)
-				sp.Stage("encode_ship", sp.Now()-tShip, float64(n))
-				seq++
-			} else {
-				tShip := sp.Now()
-				n, err = conn.SendSegment(g.cfg.Codec, seg)
-				sp.Stage("encode_ship", sp.Now()-tShip, float64(n))
-			}
-			sp.End()
-			if err != nil {
-				return err
-			}
-			g.m.wireBytes.Add(uint64(n))
-		}
-		return nil
-	}
-	for capture := range captures {
-		if err := ship(g.Process(capture)); err != nil {
-			return err
-		}
-	}
-	if err := ship(g.Flush()); err != nil {
-		return err
-	}
-	if err := conn.SendBye(); err != nil {
-		return err
-	}
-	<-done
-	return nil
-}

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bytes"
+	"io"
 	"net"
 	"testing"
 
@@ -20,6 +21,25 @@ const fs = 1e6
 
 func techs() []phy.Technology {
 	return []phy.Technology{lora.Default(), xbee.Default(), zwave.Default()}
+}
+
+// runPiped drives one RunResilient session over an in-memory pipe whose
+// far end serve answers, and fails the test if either side errors.
+func runPiped(t *testing.T, g *Gateway, captures <-chan []complex128, reports func(backhaul.FramesReport), serve func(io.ReadWriter) error) {
+	t.Helper()
+	a, b := net.Pipe()
+	errCh := make(chan error, 1)
+	go func() {
+		err := serve(b)
+		b.Close()
+		errCh <- err
+	}()
+	if err := g.RunResilient(Resilient{Dial: DialOnce(a)}, captures, reports); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errCh; err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestNewValidation(t *testing.T) {
@@ -160,24 +180,14 @@ func TestEndToEndGatewayCloud(t *testing.T) {
 		{Samples: x, Offset: 25000, SNRdB: 12},
 	}, gen, fs)
 
-	a, b := net.Pipe()
 	captures := make(chan []complex128, 1)
 	captures <- capture
 	close(captures)
 
 	var reports []backhaul.FramesReport
-	errCh := make(chan error, 2)
-	go func() { errCh <- svc.ServeConn(b) }()
-	go func() {
-		errCh <- g.Run(a, captures, func(r backhaul.FramesReport) {
-			reports = append(reports, r)
-		})
-	}()
-	for i := 0; i < 2; i++ {
-		if err := <-errCh; err != nil {
-			t.Fatal(err)
-		}
-	}
+	runPiped(t, g, captures, func(r backhaul.FramesReport) {
+		reports = append(reports, r)
+	}, svc.ServeConn)
 	got := map[string][]byte{}
 	for _, r := range reports {
 		for _, f := range r.Frames {

@@ -2,7 +2,7 @@ package gateway
 
 import (
 	"bytes"
-	"net"
+	"io"
 	"testing"
 
 	"repro/internal/backhaul"
@@ -27,7 +27,7 @@ func shipCapture(t *testing.T, seed uint64, payload []byte) []complex128 {
 }
 
 func TestRunWindowedPipelineWithFarm(t *testing.T) {
-	// A v2 gateway pipelines several captures' segments into a farm-backed
+	// A gateway pipelines several captures' segments into a farm-backed
 	// cloud; every segment must come back as a frames report, none as busy.
 	ts := techs()
 	g, err := New(Config{Techs: ts, Frontend: frontend.Ideal(fs), Window: 4})
@@ -46,20 +46,10 @@ func TestRunWindowedPipelineWithFarm(t *testing.T) {
 	}
 	close(captures)
 
-	a, b := net.Pipe()
-	errCh := make(chan error, 2)
 	var reports []backhaul.FramesReport
-	go func() { errCh <- svc.ServeConn(b) }()
-	go func() {
-		errCh <- g.Run(a, captures, func(r backhaul.FramesReport) {
-			reports = append(reports, r)
-		})
-	}()
-	for i := 0; i < 2; i++ {
-		if err := <-errCh; err != nil {
-			t.Fatal(err)
-		}
-	}
+	runPiped(t, g, captures, func(r backhaul.FramesReport) {
+		reports = append(reports, r)
+	}, svc.ServeConn)
 	st := g.Stats()
 	if st.SegmentsShipped == 0 {
 		t.Fatal("nothing shipped")
@@ -93,9 +83,10 @@ func TestRunWindowedPipelineWithFarm(t *testing.T) {
 }
 
 func TestRunCountsBadReports(t *testing.T) {
-	// A misbehaving cloud answers each segment with an unparseable frames
-	// payload; the gateway must count it instead of silently dropping it.
-	g, err := New(Config{Techs: techs(), Frontend: frontend.Ideal(fs), Protocol: 1})
+	// A misbehaving cloud precedes each segment's answer with an
+	// unparseable frames payload; the gateway must count it instead of
+	// silently dropping it.
+	g, err := New(Config{Techs: techs(), Frontend: frontend.Ideal(fs)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,35 +94,36 @@ func TestRunCountsBadReports(t *testing.T) {
 	captures <- shipCapture(t, 50, []byte("garbled reply"))
 	close(captures)
 
-	a, b := net.Pipe()
-	srvErr := make(chan error, 1)
-	go func() {
-		srvErr <- func() error {
-			conn := backhaul.NewConn(b)
-			for {
-				typ, _, err := conn.ReadMessage()
+	runPiped(t, g, captures, nil, func(rw io.ReadWriter) error {
+		conn := backhaul.NewConn(rw)
+		for {
+			typ, payload, err := conn.ReadMessage()
+			if err != nil {
+				return err
+			}
+			switch typ {
+			case backhaul.MsgHello:
+				if err := conn.SendHelloAck(backhaul.HelloAck{Version: backhaul.Version}); err != nil {
+					return err
+				}
+			case backhaul.MsgSegmentSeq:
+				seq, seg, err := backhaul.DecodeSegmentSeq(payload)
 				if err != nil {
 					return err
 				}
-				switch typ {
-				case backhaul.MsgHello:
-				case backhaul.MsgSegment:
-					// Not JSON: ParseFrames must fail on the gateway.
-					if err := conn.WriteMessage(backhaul.MsgFrames, []byte{0xff, 0xfe}); err != nil {
-						return err
-					}
-				case backhaul.MsgBye:
-					return conn.SendBye()
+				// Not JSON: ParseFrames must fail on the gateway.
+				if err := conn.WriteMessage(backhaul.MsgFrames, []byte{0xff, 0xfe}); err != nil {
+					return err
 				}
+				// The real answer follows so the window drains.
+				if err := conn.SendFrames(backhaul.FramesReport{SegmentStart: seg.Start, Seq: seq}); err != nil {
+					return err
+				}
+			case backhaul.MsgBye:
+				return conn.SendBye()
 			}
-		}()
-	}()
-	if err := g.Run(a, captures, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-srvErr; err != nil {
-		t.Fatal(err)
-	}
+		}
+	})
 	st := g.Stats()
 	if st.SegmentsShipped == 0 {
 		t.Fatal("nothing shipped")
@@ -142,7 +134,7 @@ func TestRunCountsBadReports(t *testing.T) {
 }
 
 func TestRunBusyRejectCounted(t *testing.T) {
-	// A v2 "cloud" that rejects every segment with busy: the gateway must
+	// A "cloud" that rejects every segment with busy: the gateway must
 	// count the rejects, free its window, and finish the session cleanly.
 	g, err := New(Config{Techs: techs(), Frontend: frontend.Ideal(fs), Window: 2})
 	if err != nil {
@@ -152,41 +144,31 @@ func TestRunBusyRejectCounted(t *testing.T) {
 	captures <- shipCapture(t, 51, []byte("rejected"))
 	close(captures)
 
-	a, b := net.Pipe()
-	srvErr := make(chan error, 1)
-	go func() {
-		srvErr <- func() error {
-			conn := backhaul.NewConn(b)
-			for {
-				typ, payload, err := conn.ReadMessage()
+	runPiped(t, g, captures, nil, func(rw io.ReadWriter) error {
+		conn := backhaul.NewConn(rw)
+		for {
+			typ, payload, err := conn.ReadMessage()
+			if err != nil {
+				return err
+			}
+			switch typ {
+			case backhaul.MsgHello:
+				if err := conn.SendHelloAck(backhaul.HelloAck{Version: backhaul.Version}); err != nil {
+					return err
+				}
+			case backhaul.MsgSegmentSeq:
+				seq, _, err := backhaul.DecodeSegmentSeq(payload)
 				if err != nil {
 					return err
 				}
-				switch typ {
-				case backhaul.MsgHello:
-					if err := conn.SendHelloAck(backhaul.HelloAck{Version: 2}); err != nil {
-						return err
-					}
-				case backhaul.MsgSegmentSeq:
-					seq, _, err := backhaul.DecodeSegmentSeq(payload)
-					if err != nil {
-						return err
-					}
-					if err := conn.SendBusy(seq); err != nil {
-						return err
-					}
-				case backhaul.MsgBye:
-					return conn.SendBye()
+				if err := conn.SendBusy(seq); err != nil {
+					return err
 				}
+			case backhaul.MsgBye:
+				return conn.SendBye()
 			}
-		}()
-	}()
-	if err := g.Run(a, captures, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-srvErr; err != nil {
-		t.Fatal(err)
-	}
+		}
+	})
 	st := g.Stats()
 	if st.SegmentsShipped == 0 || st.BusyRejects != st.SegmentsShipped {
 		t.Fatalf("stats %+v", st)

@@ -23,7 +23,7 @@ const DefaultSpoolCapacity = 64
 // /readyz reports it out of headroom.
 const DefaultWALBacklogMax = 4096
 
-// Resilient configures RunResilient, the reconnecting flavor of Run.
+// Resilient configures RunResilient, the gateway's backhaul session loop.
 type Resilient struct {
 	// Dial opens one backhaul connection attempt. RunResilient owns the
 	// returned stream and closes it when the session ends.
@@ -63,6 +63,19 @@ type Resilient struct {
 	// WALBacklogMax bounds the wal_backlog_headroom readiness check
 	// (default DefaultWALBacklogMax).
 	WALBacklogMax int
+}
+
+// DialOnce returns a Resilient.Dial that hands out rwc on the first call
+// and fails every redial, for callers that own a single pre-established
+// stream (an in-memory pipe, an accepted socket).
+func DialOnce(rwc io.ReadWriteCloser) func() (io.ReadWriteCloser, error) {
+	var used atomic.Bool
+	return func() (io.ReadWriteCloser, error) {
+		if used.Swap(true) {
+			return nil, errors.New("gateway: single-use connection already dialed")
+		}
+		return rwc, nil
+	}
 }
 
 // resMetrics is the registry-backed counter set of the resilience layer.
@@ -224,10 +237,14 @@ func (r *resilientRun) closeWAL() {
 	}
 }
 
-// RunResilient is Run behind a reconnecting backhaul client. Captures are
-// consumed continuously by a feeder goroutine into a bounded spool, so the
+// RunResilient drives the gateway's backhaul: hello, then the shipped
+// segments of each capture delivered on captures, then bye, behind a
+// reconnecting client. Up to Config.Window sequence-numbered segments stay
+// in flight unacknowledged, and each cloud reply — a frames report or an
+// explicit busy reject — frees a window slot. Captures are consumed
+// continuously by a feeder goroutine into a bounded spool, so the
 // detection pipeline never stalls on a dead link; the sender drains the
-// spool over a sequence of v2 sessions, re-helloing (same epoch) after
+// spool over a sequence of sessions, re-helloing (same epoch) after
 // every connection failure and replaying the unacknowledged window so no
 // admitted segment is lost to a flap. When the spool saturates the oldest
 // segment falls back to a local edge-only decode (degraded mode) and is
@@ -235,15 +252,12 @@ func (r *resilientRun) closeWAL() {
 // attempt budget is exhausted; everything still spooled at that point is
 // drained through the degraded path before returning.
 //
-// Unlike Run, the reports callback may be invoked concurrently (cloud
-// reports from the session loop, degraded-mode reports from the feeder) —
-// callers must synchronize.
+// The reports callback may be invoked concurrently (cloud reports from the
+// session loop, degraded-mode reports from the feeder) — callers must
+// synchronize.
 func (g *Gateway) RunResilient(rc Resilient, captures <-chan []complex128, reports func(backhaul.FramesReport)) error {
 	if rc.Dial == nil {
 		return errors.New("gateway: RunResilient requires a Dial function")
-	}
-	if g.cfg.Protocol == 1 {
-		return errors.New("gateway: RunResilient requires backhaul protocol v2 (replay needs sequence acks)")
 	}
 	if rc.Epoch == 0 {
 		rc.Epoch = 1
@@ -254,10 +268,6 @@ func (g *Gateway) RunResilient(rc Resilient, captures <-chan []complex128, repor
 	g.traceSalt = obs.MintTraceID(rc.Epoch, 0)
 	if rc.SpoolCapacity <= 0 {
 		rc.SpoolCapacity = DefaultSpoolCapacity
-	}
-	version := g.cfg.Protocol
-	if version == 0 {
-		version = backhaul.Version
 	}
 	techs := make([]string, 0, len(g.cfg.Techs))
 	for _, t := range g.cfg.Techs {
@@ -278,7 +288,7 @@ func (g *Gateway) RunResilient(rc Resilient, captures <-chan []complex128, repor
 		reports: reports,
 		backoff: resilience.NewBackoff(rc.Retry),
 		hello: backhaul.Hello{
-			Version:    version,
+			Version:    backhaul.Version,
 			GatewayID:  g.cfg.ID,
 			SampleRate: g.cfg.Frontend.SampleRate(),
 			Techs:      techs,
@@ -307,8 +317,13 @@ func (g *Gateway) RunResilient(rc Resilient, captures <-chan []complex128, repor
 		// already accounts for the restart replay. Recovered marks them so
 		// the sender re-opens a wal_replay span on each segment's original
 		// trace (the trace context journaled with the segment survives the
-		// crash byte-for-byte).
+		// crash byte-for-byte). A record journaled without a trace ID gets
+		// one minted now: the cloud rejects untraced segments, and a
+		// rejected replay would be reshipped on every reconnect.
 		for _, e := range recovered {
+			if e.Seg.Trace == 0 {
+				e.Seg.Trace = obs.MintTraceID(g.idHash^g.traceSalt, e.Seg.Start)
+			}
 			r.pending = append(r.pending, carried{it: resilience.Item{Seg: e.Seg, WAL: e.ID, Recovered: true}})
 		}
 		r.spool, r.wal = resilience.NewDurableSpool(rc.SpoolCapacity, wlog), wlog
@@ -479,17 +494,10 @@ func (r *resilientRun) session(rwc io.ReadWriteCloser) (finished bool, err error
 	if err != nil {
 		return false, fmt.Errorf("gateway: bad hello ack: %w", err)
 	}
-	// The ack's version is what this session actually speaks; renegotiated
-	// every redial because a flap may land on an older cloud. Below v3 the
-	// trace extension is stripped before segments hit the wire.
-	negotiated := r.hello.Version
-	if ack.Version > 0 && ack.Version < negotiated {
-		negotiated = ack.Version
-	}
 	// Window sizing is re-derived every session: a redial may land on a
 	// plane whose shard count or admission bounds changed.
 	window := scaleWindow(r.auto, r.window, ack)
-	// Established: renegotiated and ready to ship. Consecutive-failure
+	// Established: acknowledged and ready to ship. Consecutive-failure
 	// accounting restarts here, and anything after the first session is by
 	// definition a reconnect.
 	sp.Stage("established", 0, float64(window))
@@ -632,14 +640,8 @@ func (r *resilientRun) session(rwc io.ReadWriteCloser) (finished bool, err error
 			// span is still live, the replay lands on it.
 			itsp.Stage("replay", 0, float64(len(c.it.Seg.Samples)))
 		}
-		seg := c.it.Seg
-		if negotiated < 3 {
-			// Pre-v3 peers reject the trace flag bit (seg is a copy; the
-			// carried item keeps its identity for later sessions).
-			seg.Trace, seg.Parent = 0, 0
-		}
 		tShip := itsp.Now()
-		n, err := conn.SendSegmentSeq(g.cfg.Codec, seq, seg)
+		n, err := conn.SendSegmentSeq(g.cfg.Codec, seq, c.it.Seg)
 		if err != nil {
 			// End an ephemeral replay span even on failure: the write may
 			// have reached the cloud before the connection died, and its

@@ -18,6 +18,7 @@ import (
 	"repro/internal/phy/xbee"
 	"repro/internal/phy/zwave"
 	"repro/internal/resilience"
+	"repro/internal/resilience/wal"
 	"repro/internal/rng"
 )
 
@@ -105,7 +106,7 @@ func TestRunResilientReplaysUnacked(t *testing.T) {
 				return err
 			}
 			epoch1 = h.Epoch
-			if err := c.SendHelloAck(backhaul.HelloAck{Version: 2, Window: 8}); err != nil {
+			if err := c.SendHelloAck(backhaul.HelloAck{Version: backhaul.Version, Window: 8}); err != nil {
 				return err
 			}
 			for i := 0; i < 3; i++ {
@@ -142,7 +143,7 @@ func TestRunResilientReplaysUnacked(t *testing.T) {
 				return err
 			}
 			epoch2 = h.Epoch
-			if err := c.SendHelloAck(backhaul.HelloAck{Version: 2, Window: 8}); err != nil {
+			if err := c.SendHelloAck(backhaul.HelloAck{Version: backhaul.Version, Window: 8}); err != nil {
 				return err
 			}
 			for {
@@ -395,12 +396,54 @@ func TestRunResilientValidation(t *testing.T) {
 	if err := g.RunResilient(Resilient{}, nil, nil); err == nil {
 		t.Fatal("nil Dial must be rejected")
 	}
-	g1, err := New(Config{Techs: techs(), Frontend: frontend.Ideal(fs), Protocol: 1})
+}
+
+// TestWALRecoveredUntracedSegmentShips: a WAL record journaled without a
+// trace ID is given one on recovery, so the cloud — which rejects
+// untraced segments — decodes it instead of ending every session on it.
+func TestWALRecoveredUntracedSegmentShips(t *testing.T) {
+	ts := resTechs()
+	dir := t.TempDir()
+	wlog, _, err := wal.Open(wal.Options{Dir: dir, Codec: backhaul.DefaultCodec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dial := func() (io.ReadWriteCloser, error) { return nil, errors.New("unused") }
-	if err := g1.RunResilient(Resilient{Dial: dial}, nil, nil); err == nil {
-		t.Fatal("protocol v1 must be rejected")
+	payload := []byte("journaled untraced")
+	seg := backhaul.Segment{Start: 0, SampleRate: fs, Samples: techCapture(t, ts[0], 71, payload)}
+	if _, err := wlog.Append(seg); err != nil {
+		t.Fatal(err)
+	}
+	wlog.Abandon()
+
+	g, err := New(Config{Techs: ts, Frontend: frontend.Ideal(fs)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := cloud.NewService(ts)
+	captures := make(chan []complex128)
+	close(captures)
+	a, b := net.Pipe()
+	srvErr := make(chan error, 1)
+	go func() {
+		err := svc.ServeConn(b)
+		b.Close()
+		srvErr <- err
+	}()
+	var got []string
+	if err := g.RunResilient(Resilient{Dial: DialOnce(a), WALDir: dir}, captures, func(r backhaul.FramesReport) {
+		for _, f := range r.Frames {
+			got = append(got, string(f.Payload))
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-srvErr; err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0] != string(payload) {
+		t.Fatalf("recovered segment decoded to %q", got)
+	}
+	if n := svc.Registry().Counter("cloud_segments_invalid_total").Value(); n != 0 {
+		t.Fatalf("cloud_segments_invalid_total = %d, want 0", n)
 	}
 }

@@ -405,12 +405,11 @@ func buildE2EGatewayCloud(b *workbench) (*runner, error) {
 			captures <- capture
 			close(captures)
 			frames := 0
-			if err := g.Run(gw, captures, func(r backhaul.FramesReport) {
+			if err := g.RunResilient(gateway.Resilient{Dial: gateway.DialOnce(gw)}, captures, func(r backhaul.FramesReport) {
 				frames += len(r.Frames)
 			}); err != nil {
 				panic(fmt.Sprintf("perf: e2e gateway session: %v", err))
 			}
-			_ = gw.Close()
 			_ = cl.Close()
 			srvWG.Wait()
 			return frames

@@ -20,7 +20,7 @@ type RecordInfo struct {
 	SegStart   int64 `json:"seg_start,omitempty"`
 	SegSamples int   `json:"seg_samples,omitempty"`
 	// TraceID is the trace context journaled with the segment (0 when the
-	// segment was admitted untraced or by a pre-v3 build).
+	// segment was journaled without one).
 	TraceID uint64 `json:"trace_id,omitempty"`
 }
 
